@@ -125,3 +125,21 @@ type Entity struct {
 
 // HasPath reports whether the mob is currently following a path.
 func (e *Entity) HasPath() bool { return e.path != nil && e.pathIdx < len(e.path) }
+
+// Add returns the component-wise sum of c and o — how per-shard tick
+// records merge into one cluster-wide record.
+func (c Counters) Add(o Counters) Counters {
+	return Counters{
+		MobTicks:      c.MobTicks + o.MobTicks,
+		ItemTicks:     c.ItemTicks + o.ItemTicks,
+		TNTTicks:      c.TNTTicks + o.TNTTicks,
+		InactiveSkips: c.InactiveSkips + o.InactiveSkips,
+		PathNodes:     c.PathNodes + o.PathNodes,
+		Repaths:       c.Repaths + o.Repaths,
+		Collisions:    c.Collisions + o.Collisions,
+		SpawnAttempts: c.SpawnAttempts + o.SpawnAttempts,
+		Spawns:        c.Spawns + o.Spawns,
+		Despawns:      c.Despawns + o.Despawns,
+		Moved:         c.Moved + o.Moved,
+	}
+}

@@ -401,7 +401,7 @@ func TestPhysicsNoTunnelingProperty(t *testing.T) {
 		e := &Entity{Kind: Item, Pos: Vec3{X: 0.5, Y: float64(12 + h%30), Z: 0.5},
 			Vel: Vec3{X: float64(vx) / 50, Z: float64(vz) / 50}}
 		for i := 0; i < 120; i++ {
-			ew.root.stepPhysics(e)
+			ew.stepPhysics(e)
 			bp := e.Pos.BlockPos()
 			if b, ok := ew.w.BlockIfLoaded(bp); ok && b.IsSolid() {
 				return false

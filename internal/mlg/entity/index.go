@@ -16,9 +16,9 @@ import (
 //
 // Determinism contract: every query visits buckets in fixed (Z, X) grid
 // order and entities in ascending-ID order within a bucket, so a query's
-// visit sequence is a pure function of simulation state. Serial and parallel
-// runs therefore stay byte-identical (enforced by the golden-checksum suite
-// in internal/core).
+// visit sequence is a pure function of simulation state. Runs therefore
+// stay byte-identical at any worker count (enforced by the golden-checksum
+// suite in internal/core).
 
 // spatialIndex buckets live entities by chunk column. Buckets are kept
 // ID-sorted; entity IDs are monotonic, so steady-state insertion is an

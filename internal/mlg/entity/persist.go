@@ -18,11 +18,11 @@ import (
 // Alongside the entities: tick number, ID allocator, RNG state, the
 // carried-over counters (explosion-impulse collisions are attributed to
 // the *next* tick, so they are live at the snapshot boundary), terrain
-// versions, item-merge cells, and scheduling attribution. Not captured
-// because it is empty or rederivable at the tick boundary: chunkUpdates
-// (drained every tick), explosionsDue/exBuf (drained/flushed), the player
-// grid (rebuilt each tick), each entity's activeTick (stale values behave as
-// unset) and spatial-index bucket (a function of Pos).
+// versions and item-merge cells. Not captured because it is empty or
+// rederivable at the tick boundary: chunkUpdates (drained every tick),
+// explosionsDue (drained), the player grid (rebuilt each tick), each
+// entity's activeTick (stale values behave as unset) and spatial-index
+// bucket (a function of Pos).
 
 func appendEntityPersist(dst []byte, e *Entity) []byte {
 	dst = AppendSnapshot(dst, e)
@@ -115,16 +115,6 @@ func (ew *World) AppendPersist(dst []byte) []byte {
 		dst = persist.AppendI32(dst, int32(cell.Z))
 		dst = persist.AppendI64(dst, ew.itemCells[cell])
 	}
-
-	dst = persist.AppendU32(dst, uint32(ew.lastRegions))
-	lp := byte(0)
-	if ew.lastParallel {
-		lp = 1
-	}
-	dst = persist.AppendU8(dst, lp)
-	dst = persist.AppendI64(dst, ew.parallelTicks)
-	dst = persist.AppendI64(dst, ew.fallbackTicks)
-	dst = persist.AppendI64(dst, int64(ew.serialHold))
 	return dst
 }
 
@@ -198,12 +188,6 @@ func (ew *World) RestorePersist(data []byte) error {
 		itemCells[cell] = d.I64()
 	}
 
-	lastRegions := int(d.U32())
-	lastParallel := d.U8() != 0
-	parallelTicks := d.I64()
-	fallbackTicks := d.I64()
-	serialHold := int(d.I64())
-
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("entity section: %w", err)
 	}
@@ -247,12 +231,6 @@ func (ew *World) RestorePersist(data []byte) error {
 	ew.itemCells = itemCells
 	ew.chunkUpdates = make(map[world.ChunkPos]ChunkUpdates)
 	ew.explosionsDue = nil
-	ew.exBuf = nil
-	ew.lastRegions = lastRegions
-	ew.lastParallel = lastParallel
-	ew.parallelTicks = parallelTicks
-	ew.fallbackTicks = fallbackTicks
-	ew.serialHold = serialHold
 	// Restored chunks are new objects; drop any cached pointers.
 	ew.wc = world.NewChunkCache(ew.w)
 	return nil

@@ -2,9 +2,9 @@ package entity
 
 // Entity wire snapshots: a compact, canonical serialization of one entity's
 // externally visible state (identity, kind, motion, lifecycle). The
-// serial-vs-parallel equivalence suites hash and diff whole-store snapshots
-// to prove region-parallel ticks bit-identical to the serial loop, and the
-// FuzzEntitySnapshot round-trip target guards the codec itself.
+// equivalence suites hash and diff whole-store snapshots to prove twin runs
+// bit-identical, and the FuzzEntitySnapshot round-trip target guards the
+// codec itself.
 //
 // The format is fixed-width big-endian: ID (8), Kind (1), flags (1),
 // Pos/Vel (6 × 8, IEEE-754 bits — preserved exactly, so NaN payloads round
@@ -90,7 +90,7 @@ func DecodeSnapshot(src []byte) (Entity, []byte, error) {
 
 // AppendStateSnapshot appends the wire snapshot of every live entity in
 // deterministic (ID) order — the whole-store state fingerprint the
-// equivalence suites compare between serial and parallel schedules.
+// equivalence suites compare between twin runs.
 func (ew *World) AppendStateSnapshot(dst []byte) []byte {
 	for _, e := range ew.list {
 		dst = AppendSnapshot(dst, e)

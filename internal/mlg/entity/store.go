@@ -2,7 +2,6 @@ package entity
 
 import (
 	"math/rand"
-	"runtime"
 
 	"repro/internal/mlg/mrand"
 	"repro/internal/mlg/world"
@@ -37,16 +36,6 @@ type Config struct {
 	// item-merge optimization that keeps TNT storms from flooding the
 	// entity list.
 	ItemMergeCells int
-	// Workers is the number of goroutines ticking independent entity regions
-	// per tick (the same pool discipline and knob as sim.Config.SimWorkers;
-	// the server wires both from one setting). 0 means GOMAXPROCS; 1 keeps
-	// the legacy serial loop. Whatever the value, output is identical:
-	// mob decisions draw from per-region RNG streams that are pure functions
-	// of simulation state (see rng.go), and the few entity ticks a worker
-	// cannot complete — ones needing mid-loop terrain generation — are
-	// rolled back and re-ticked serially in ID order (see parallel.go), so
-	// every worker count produces the same world.
-	Workers int
 }
 
 // DefaultConfig returns vanilla-like entity settings.
@@ -103,10 +92,9 @@ type World struct {
 	rng *rand.Rand
 	src *mrand.Source
 	cfg Config
-	// seed is the world seed the per-region decision streams derive from
-	// (world.RegionSeed; see rng.go). The store rng above is seeded from the
-	// same value but serves only the serial phases (spawn velocities,
-	// natural-spawn placement).
+	// seed is the world seed the per-entity decision streams derive from
+	// (see rng.go). The store rng above is seeded from the same value but
+	// serves only natural-spawn placement.
 	seed int64
 
 	list   []*Entity
@@ -133,40 +121,11 @@ type World struct {
 	itemCells map[world.Pos]int64
 
 	// explosionsDue collects TNT detonations for the server to route to the
-	// terrain engine after the entity phase. exBuf is the tick's ID-keyed
-	// staging buffer: every schedule (serial loop, region merge, re-tick
-	// pass) appends there, and flushExplosions emits to explosionsDue in
-	// entity-ID order at the end of the tick.
+	// terrain engine after the entity phase, in entity-ID order (the tick
+	// loop walks the ID-ordered list).
 	explosionsDue []world.Pos
-	exBuf         []entExplosion
 
 	counters Counters
-
-	// root is the store's own tick-execution context: the serial loop, the
-	// escaped-entity re-tick pass and the impulse fallback all run through
-	// it, reading the fields above exactly as the pre-region-split store did.
-	root tickCtx
-	// workers is the resolved Workers value (0 → GOMAXPROCS at creation).
-	workers int
-
-	// Parallel-schedule scratch, reused across ticks (see parallel.go).
-	regionScratch   map[world.ChunkPos]int32
-	regionPool      []*entRegion
-	retickScratch   []*Entity
-	costScratch     []int
-	unitScratch     [][2]int
-	impulseScratch  map[world.ChunkPos]int32
-	impulseCenters  [][]world.Pos
-	impulseCounters []Counters
-
-	// Parallel-schedule attribution (see ParallelStats), plus the serial-hold
-	// hysteresis that keeps a workload which just rolled back (or refuses to
-	// partition) off the partitioning cost for a few ticks.
-	lastRegions   int
-	lastParallel  bool
-	parallelTicks int64
-	fallbackTicks int64
-	serialHold    int
 }
 
 // NewWorld creates an entity world bound to the terrain, seeded
@@ -187,30 +146,10 @@ func NewWorld(w *world.World, cfg Config, seed int64) *World {
 		chunkVersion: make(map[world.ChunkPos]uint64),
 		itemCells:    make(map[world.Pos]int64),
 	}
-	ew.workers = cfg.Workers
-	if ew.workers <= 0 {
-		ew.workers = runtime.GOMAXPROCS(0)
-	}
-	ew.root = tickCtx{ew: ew, wc: &ew.wc, counters: &ew.counters}
 	w.OnChange(func(p world.Pos, old, new world.Block) {
 		ew.chunkVersion[world.ChunkPosAt(p)]++
 	})
 	return ew
-}
-
-// SetWorkers reconfigures the tick scheduler's worker count between ticks
-// (0 = GOMAXPROCS, 1 = the serial loop), as if the store had been restarted
-// with the new Config.Workers: the serial-hold hysteresis resets so the next
-// tick re-evaluates the schedule fresh. Output is unaffected — every worker
-// count produces the same world — so this trades wall-clock time only. Must
-// not be called while a tick is in flight.
-func (ew *World) SetWorkers(n int) {
-	ew.cfg.Workers = n
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	ew.workers = n
-	ew.serialHold = 0
 }
 
 // Count returns the live entity population.
@@ -342,15 +281,7 @@ func (ew *World) DrainExplosions() []world.Pos {
 // ApplyExplosionImpulse applies blast effects to entities around a
 // detonation: items near the centre are destroyed, everything else in range
 // is knocked away. This is the entity-collision side of the TNT workload.
-// For a tick's whole detonation batch, ApplyExplosionImpulses runs these
-// scans region-parallel.
 func (ew *World) ApplyExplosionImpulse(center world.Pos, radius float64) {
-	ew.applyImpulse(center, radius, &ew.counters)
-}
-
-// applyImpulse is the shared impulse scan, writing collision counts to the
-// given counters so regioned batches can account per group and merge.
-func (ew *World) applyImpulse(center world.Pos, radius float64, counters *Counters) {
 	c := Center(center)
 	ew.forEachNear(c, radius, func(e *Entity) {
 		if e.Dead {
@@ -360,7 +291,7 @@ func (ew *World) applyImpulse(center world.Pos, radius float64, counters *Counte
 		if d > radius {
 			return
 		}
-		counters.Collisions++
+		ew.counters.Collisions++
 		if e.Kind == Item && d < radius/2 {
 			e.Dead = true
 			return
@@ -374,19 +305,23 @@ func (ew *World) applyImpulse(center world.Pos, radius float64, counters *Counte
 	})
 }
 
+// ApplyExplosionImpulses applies blast impulses for a whole detonation
+// batch, one center at a time in batch order.
+func (ew *World) ApplyExplosionImpulses(centers []world.Pos, radius float64) {
+	for _, c := range centers {
+		ew.ApplyExplosionImpulse(c, radius)
+	}
+}
+
 // Tick advances every entity one game tick. players gives current player
 // positions (for activation ranges, AI targets, and natural spawning). The
 // returned counters describe the tick's entity work.
 //
-// The per-entity loop — AI, physics, collision, the tick's hot path — runs
-// region-parallel on the SimWorkers pool when the population partitions into
-// independent regions (see parallel.go); otherwise, and as the universal
-// fallback, it runs the legacy serial loop. The output is identical under
-// every worker count: mob decisions draw from per-region streams that do not
-// depend on schedule, and the rare entity tick a worker cannot complete is
-// re-ticked serially in ID order. The phases around the loop (activation
-// marking, natural spawning, compaction) consume the store RNG in global
-// order and stay serial.
+// The per-entity loop — AI, physics, collision, the tick's hot path — visits
+// the live entities serially in list (ID) order. Mob decisions draw from
+// per-entity streams (rng.go), so no entity's tick depends on how many
+// draws an earlier one made; natural spawning after the loop consumes the
+// store RNG.
 func (ew *World) Tick(players []Vec3) Counters {
 	// Counters are NOT reset here: spawns requested by the terrain phase
 	// (which runs before the entity phase within a server tick) must be
@@ -396,12 +331,9 @@ func (ew *World) Tick(players []Vec3) Counters {
 	ew.grid = newPlayerGrid(players)
 	ew.markActive(players)
 
-	if !ew.tryParallelTick() {
-		for _, e := range ew.list {
-			ew.root.tickEntity(e)
-		}
+	for _, e := range ew.list {
+		ew.tickEntity(e)
 	}
-	ew.flushExplosions()
 
 	if ew.cfg.NaturalSpawning && len(players) > 0 {
 		ew.naturalSpawns(players)
@@ -412,71 +344,41 @@ func (ew *World) Tick(players []Vec3) Counters {
 	return out
 }
 
-// tickEntity advances one entity through its game tick on the given context:
-// ageing, activation throttling, the kind switch, and movement bookkeeping.
-// This is the one copy of the per-entity tick body; the serial loop runs it
-// on the root context and region workers on region contexts, so the two
-// paths cannot drift apart.
-func (c *tickCtx) tickEntity(e *Entity) {
+// tickEntity advances one entity through its game tick: ageing, activation
+// throttling, the kind switch, and movement bookkeeping.
+func (ew *World) tickEntity(e *Entity) {
 	if e.Dead {
 		return
 	}
 	e.Age++
-	if c.ew.throttled(e) {
-		c.counters.InactiveSkips++
+	if ew.throttled(e) {
+		ew.counters.InactiveSkips++
 		return
 	}
 	before := e.Pos.BlockPos()
 	switch e.Kind {
 	case Mob:
-		c.counters.MobTicks++
-		c.tickMob(e)
+		ew.counters.MobTicks++
+		ew.tickMob(e)
 	case Item:
-		c.counters.ItemTicks++
-		c.tickItem(e)
+		ew.counters.ItemTicks++
+		ew.stepPhysics(e)
 	case PrimedTNT:
-		c.counters.TNTTicks++
+		ew.counters.TNTTicks++
 		e.Fuse--
-		c.stepPhysics(e)
-		if r := c.region; r != nil && r.escaped {
-			// Escaped mid-physics: leave the fuse decision to the re-tick
-			// so the detonation buffers exactly once.
-			return
-		}
+		ew.stepPhysics(e)
 		if e.Fuse <= 0 {
 			e.Dead = true
-			// Buffered with the entity ID on every schedule; flushExplosions
-			// emits the tick's batch in serial (ID) order.
-			if r := c.region; r != nil {
-				r.explosions = append(r.explosions, entExplosion{id: e.ID, pos: e.Pos.BlockPos()})
-			} else {
-				c.ew.exBuf = append(c.ew.exBuf, entExplosion{id: e.ID, pos: e.Pos.BlockPos()})
-			}
+			ew.explosionsDue = append(ew.explosionsDue, e.Pos.BlockPos())
 		}
-	}
-	if r := c.region; r != nil && r.escaped {
-		return
 	}
 	if !e.Dead {
 		if after := e.Pos.BlockPos(); after != before {
-			c.counters.Moved++
-			nc := world.ChunkPosAt(after)
-			if r := c.region; r != nil {
-				// Rebuckets are buffered and applied at the serial merge, so
-				// the destination may lie anywhere — even another region's
-				// chunks. Bucket contents stay frozen for the whole worker
-				// phase, and bucket insertion is ID-sorted, so application
-				// order is immaterial.
-				if nc != e.chunk {
-					r.moves = append(r.moves, entMove{e: e, to: nc})
-				}
-				r.chunkMoved[nc]++
-			} else {
-				if nc != e.chunk {
-					c.ew.index.move(e, nc)
-				}
-				c.ew.noteMoved(e.chunk)
+			ew.counters.Moved++
+			if nc := world.ChunkPosAt(after); nc != e.chunk {
+				ew.index.move(e, nc)
 			}
+			ew.noteMoved(e.chunk)
 		}
 	}
 }
@@ -503,11 +405,8 @@ func (ew *World) markActive(players []Vec3) {
 
 // throttled implements the PaperMC activation-range optimization: entities
 // far from every player tick once in four. It reads the entity's
-// already-incremented Age; throttledAt is the shared predicate, also used by
-// the parallel scheduler to pre-classify entities without mutating them.
-func (ew *World) throttled(e *Entity) bool { return ew.throttledAt(e, e.Age) }
-
-func (ew *World) throttledAt(e *Entity, age int) bool {
+// already-incremented Age.
+func (ew *World) throttled(e *Entity) bool {
 	if ew.cfg.ActivationRange <= 0 || e.Kind == PrimedTNT {
 		return false
 	}
@@ -517,7 +416,7 @@ func (ew *World) throttledAt(e *Entity, age int) bool {
 	// The 1-in-4 schedule is phase-shifted per entity so throttled mobs do
 	// not bunch onto the same tick. The phase keys on the spawn identity,
 	// not the store-local ID, so it survives shard handoffs.
-	return (age+int(e.seedKey&3))%4 != 0
+	return (e.Age+int(e.seedKey&3))%4 != 0
 }
 
 // compact removes dead and expired entities. Mobs that die drop loot (the

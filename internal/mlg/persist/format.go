@@ -19,7 +19,9 @@ const (
 	Magic = 0x4D4C4750 // "MLGP"
 	// Version 2: the entity section carries each entity's spawn seed key
 	// (shard-independent RNG identity) after its wander cooldown.
-	FormatVersion = 2
+	// Version 3: the sim section drops the engine RNG state and the entity
+	// section drops its parallel-scheduling attribution.
+	FormatVersion = 3
 )
 
 // Kind distinguishes full snapshots from incrementals layered on a base.

@@ -73,6 +73,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		{"empty", func(b []byte) []byte { return nil }, ErrTruncated},
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }, ErrBadMagic},
 		{"future version", func(b []byte) []byte { b[7] = 99; return b }, ErrVersion},
+		{"version 2", func(b []byte) []byte { b[7] = 2; return b }, ErrVersion},
 		{"truncated header", func(b []byte) []byte { return b[:10] }, ErrTruncated},
 		{"truncated body", func(b []byte) []byte { return b[:len(b)/2] }, ErrTruncated},
 		{"flip header byte", func(b []byte) []byte { b[13] ^= 0x01; return b }, ErrChecksum},

@@ -102,81 +102,3 @@ func TestParallelTickConcurrentAccessRace(t *testing.T) {
 		t.Fatalf("stress run never drained in parallel: %+v", s.Engine().ParallelStats())
 	}
 }
-
-// TestParallelEntityTickConcurrentJoinRace is the entity-phase counterpart:
-// while a SimWorkers=4 server runs a two-cluster TNT storm — region-parallel
-// entity ticks inside the world-exclusive phase — other goroutines join and
-// leave (world generation, spawn probes, player-map mutation), read terrain
-// into the crater area, and poll server stats. Under -race this guards the
-// entity workers' lock-free terrain reads off the frozen chunk index and the
-// store's buffered side-effect merge.
-func TestParallelEntityTickConcurrentJoinRace(t *testing.T) {
-	w := workload.NewWorld(workload.TNT, world.PaperControlSeed)
-	cfg := server.DefaultConfig(server.Vanilla)
-	cfg.Sim.Seed = 7
-	cfg.Sim.Workers = 4
-	m := env.NewMachine(env.DAS5SixteenCore, 1)
-	s := server.New(w, cfg, m, env.NewVirtualClock(time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)))
-	spec := workload.TNT.DefaultSpec()
-	spec.Scale = 2 // two cuboids: >= 2 entity regions once both storms burn
-	spec.IgniteAfterTicks = 2
-	if err := workload.Install(s, spec); err != nil {
-		t.Fatal(err)
-	}
-	s.Connect("storm")
-	workload.Arm(s, spec)
-	// Run into the chain reaction so the entity population is storm-sized.
-	for i := 0; i < 300 && s.EntityWorld().Count() < 400; i++ {
-		s.Tick()
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			p := s.Connect("joiner")
-			s.PlayerCount()
-			s.Disconnect(p.ID)
-			runtime.Gosched()
-		}
-	}()
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// Crater-area reads contending with the exclusive entity phase.
-			w.Block(world.Pos{X: 32 + i%64, Y: 20, Z: 32 + i%64})
-			w.BlockIfLoaded(world.Pos{X: 32 + i%64, Y: 20, Z: 40})
-			s.NetTotals()
-			s.Records()
-			runtime.Gosched()
-		}
-	}()
-
-	entParallelSeen := false
-	for i := 0; i < 15; i++ {
-		if rec := s.Tick(); rec.EntParallel {
-			entParallelSeen = true
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if !entParallelSeen {
-		t.Fatalf("stress run never ticked entities in parallel: %+v",
-			s.EntityWorld().ParallelStats())
-	}
-}

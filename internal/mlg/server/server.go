@@ -69,13 +69,11 @@ func DefaultNetConfig() NetConfig {
 type SimConfig struct {
 	// Seed seeds the simulation RNGs.
 	Seed int64
-	// Workers is the per-tick simulation parallelism of both
-	// world-exclusive phases — the terrain drain (sim.Config.SimWorkers) and
-	// the entity tick (entity.Config.Workers) share the knob and the worker
-	// pool: 0 means GOMAXPROCS, 1 forces the legacy serial paths (the
-	// differential-testing baseline). Simulation output is worker-count
-	// independent — any value produces identical results (per-region
-	// decision streams; see internal/mlg/entity).
+	// Workers is the per-tick parallelism of the terrain drain
+	// (sim.Config.SimWorkers): 0 means GOMAXPROCS, 1 forces the legacy
+	// serial drain (the differential-testing baseline). Simulation output
+	// is worker-count independent — any value produces identical results.
+	// The entity tick is always one serial loop.
 	Workers int
 	// Costs is the operation cost model used for virtual-time accounting.
 	Costs CostModel
@@ -240,11 +238,12 @@ type TickRecord struct {
 	// SimRegions and SimParallel attribute the tick's terrain-drain
 	// schedule: how many independent regions the update queues partitioned
 	// into, and whether the drains actually ran on the worker pool (false =
-	// serial path or rolled-back parallel attempt). EntRegions and
-	// EntParallel attribute the entity phase the same way.
+	// serial path or rolled-back parallel attempt).
 	SimRegions  int
 	SimParallel bool
-	EntRegions  int
+	// EntParallel is always false: the entity tick is one serial loop. The
+	// field stays so record consumers that report a parallel share for the
+	// entity phase keep building and read 0.
 	EntParallel bool
 	// NetDrops, NetKeyframes and NetQueuedBytes instrument the async
 	// outbound path this tick: batches dropped on writer-queue overflow,
@@ -418,7 +417,6 @@ func New(w *world.World, cfg Config, machine *env.Machine, clock env.Clock) *Ser
 		deliverHook:   cfg.Hooks.EntityDelivery,
 	}
 	entCfg := cfg.Flavor.EntityConfig()
-	entCfg.Workers = cfg.Sim.Workers
 	simCfg := cfg.Flavor.SimConfig()
 	simCfg.SimWorkers = cfg.Sim.Workers
 	if cfg.Shard.Sharded() {
@@ -475,18 +473,16 @@ func (s *Server) Hooks() Hooks {
 	return Hooks{AfterTick: s.afterTick, EntityDelivery: s.deliverHook}
 }
 
-// SetSimWorkers reconfigures the per-tick simulation parallelism of both
-// world-exclusive phases between ticks: the terrain drain and the entity
-// tick switch schedulers on their next tick, exactly as if the server had
-// been restarted with the new value (0 = GOMAXPROCS, 1 = legacy serial
-// paths). Simulation output is worker-count independent, so the switch may
-// only change wall-clock time — the scenario harness reconfigures mid-run
-// and asserts exactly that. Call it only between ticks, from the goroutine
-// driving Tick.
+// SetSimWorkers reconfigures the terrain drain's parallelism between ticks:
+// the drain switches schedulers on its next tick, exactly as if the server
+// had been restarted with the new value (0 = GOMAXPROCS, 1 = the legacy
+// serial drain). Simulation output is worker-count independent, so the
+// switch may only change wall-clock time — the scenario harness
+// reconfigures mid-run and asserts exactly that. Call it only between
+// ticks, from the goroutine driving Tick.
 func (s *Server) SetSimWorkers(n int) {
 	s.cfg.Sim.Workers = n
 	s.engine.SetWorkers(n)
-	s.ents.SetWorkers(n)
 }
 
 // Snapshotter returns the server-owned snapshotter, or nil when the config
@@ -707,11 +703,9 @@ func (s *Server) Tick() TickRecord {
 	counts.ent = s.ents.Tick(positions)
 
 	// Phase 3b: route TNT detonations back into the terrain engine and
-	// apply blast impulses to nearby entities. The impulse scans run on the
-	// same regioned schedule as the entity tick when the batch partitions
-	// (their collision counts accumulate into the store's counters and are
-	// attributed to the next tick, exactly as the serial per-center loop
-	// always did).
+	// apply blast impulses to nearby entities (their collision counts
+	// accumulate into the store's counters and are attributed to the next
+	// tick).
 	if centers := s.ents.DrainExplosions(); len(centers) > 0 {
 		_, delta := s.engine.MergedExplosions(centers, sim.ExplosionRadius)
 		counts.sim = counts.sim.Add(delta)
@@ -785,7 +779,6 @@ func (s *Server) Tick() TickRecord {
 	s.fig11.WaitAfterUS += float64(waitAfter) / float64(time.Microsecond)
 
 	ps := s.engine.ParallelStats()
-	es := s.ents.ParallelStats()
 	rec := TickRecord{
 		Tick:        s.tick,
 		Start:       start,
@@ -801,8 +794,6 @@ func (s *Server) Tick() TickRecord {
 		Ent:         counts.ent,
 		SimRegions:  ps.LastRegions,
 		SimParallel: ps.LastParallel,
-		EntRegions:  es.LastRegions,
-		EntParallel: es.LastParallel,
 
 		NetDrops:       counts.netDrops,
 		NetKeyframes:   counts.netKeyframes,

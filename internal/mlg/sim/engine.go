@@ -20,11 +20,9 @@
 package sim
 
 import (
-	"math/rand"
 	"runtime"
 	"sort"
 
-	"repro/internal/mlg/mrand"
 	"repro/internal/mlg/world"
 )
 
@@ -153,12 +151,9 @@ type Engine struct {
 	// access skips the world lock and chunk-map hash.
 	wc   world.ChunkCache
 	ents EntityOps
-	// rng draws from src, a serializable splitmix64 source: its one-word
-	// state moves in and out of world snapshots (persist.go), so a restored
-	// engine continues the exact random-tick/drop sequence of the saved run.
-	rng  *rand.Rand
-	src  *mrand.Source
 	cfg  Config
+	// seed keys the position/tick-keyed random streams (streams.go) every
+	// rule draws from.
 	seed int64
 	// workers is the resolved SimWorkers value (0 → GOMAXPROCS at creation).
 	workers int
@@ -241,23 +236,7 @@ type exec struct {
 	pending  *[]scheduledUpdate
 	redstone *[]scheduledUpdate
 	wireSeen map[world.Pos]int64
-	// rng is the context's random stream. The root context aliases the
-	// engine RNG. Region contexts derive a stream from the world seed and
-	// region key (world.RegionSeed) lazily via rand(); no current rule draws
-	// from it — every remaining draw is keyed by position and tick
-	// (streams.go) so values are shard-layout and schedule independent — and
-	// any future rule that draws here must consume the region stream on BOTH
-	// paths or force the serial fallback.
-	rng    *rand.Rand
-	region *regionRun // nil for the engine's root (serial) context
-}
-
-// rand returns the context's RNG, deriving the region stream on first use.
-func (x *exec) rand() *rand.Rand {
-	if x.rng == nil {
-		x.rng = rand.New(rand.NewSource(world.RegionSeed(x.e.seed, x.region.key)))
-	}
-	return x.rng
+	region   *regionRun // nil for the engine's root (serial) context
 }
 
 // setBlock stores a block through the context: the root context goes through
@@ -302,13 +281,10 @@ func (x *exec) spawnMob(p world.Pos) {
 // New creates an engine bound to the world and entity store, seeded
 // deterministically, and registers its change listener on the world.
 func New(w *world.World, ents EntityOps, cfg Config, seed int64) *Engine {
-	src := mrand.NewSource(seed)
 	e := &Engine{
 		w:         w,
 		wc:        world.NewChunkCache(w),
 		ents:      ents,
-		rng:       rand.New(src),
-		src:       src,
 		cfg:       cfg,
 		seed:      seed,
 		scheduled: make(map[int64][]scheduledUpdate),
@@ -327,7 +303,6 @@ func New(w *world.World, ents EntityOps, cfg Config, seed int64) *Engine {
 		pending:  &e.pending,
 		redstone: &e.redstonePending,
 		wireSeen: e.wireSeen,
-		rng:      e.rng,
 	}
 	w.OnChange(e.onBlockChange)
 	return e

@@ -9,11 +9,11 @@ import (
 )
 
 // Sim section codec for the MLGP save format. Everything that feeds future
-// tick output is captured: the tick number, the RNG state, the update
-// queues (backlog carried across the tick boundary), the future-tick
-// schedule, the spawner/hopper sets (generator-placed blocks never passed
-// through trackSpecial, so they cannot be rederived from the world), and
-// the scheduling-attribution counters so ParallelStats reads continuously
+// tick output is captured: the tick number, the update queues (backlog
+// carried across the tick boundary), the future-tick schedule, the
+// spawner/hopper sets (generator-placed blocks never passed through
+// trackSpecial, so they cannot be rederived from the world), and the
+// scheduling-attribution counters so ParallelStats reads continuously
 // across a restart. Deliberately not captured: wireSeen (stale entries
 // behave exactly like absent ones), per-tick counters (reset at tick
 // start), and the scratch buffers.
@@ -80,7 +80,6 @@ func decodePosSet(d *persist.Dec) map[world.Pos]struct{} {
 // called between ticks.
 func (e *Engine) AppendPersist(dst []byte) []byte {
 	dst = persist.AppendI64(dst, e.tick)
-	dst = persist.AppendU64(dst, e.src.State())
 	dst = persist.AppendI64(dst, e.ItemsCollected)
 	dst = appendUpdates(dst, e.pending)
 	dst = appendUpdates(dst, e.redstonePending)
@@ -118,7 +117,6 @@ func (e *Engine) AppendPersist(dst []byte) []byte {
 func (e *Engine) RestorePersist(data []byte) error {
 	d := persist.NewDec(data)
 	tick := d.I64()
-	rngState := d.U64()
 	items := d.I64()
 	pending := decodeUpdates(d)
 	redstone := decodeUpdates(d)
@@ -151,7 +149,6 @@ func (e *Engine) RestorePersist(data []byte) error {
 	}
 
 	e.tick = tick
-	e.src.SetState(rngState) // root exec's rng aliases src, so it follows
 	e.ItemsCollected = items
 	e.pending = pending
 	e.redstonePending = redstone

@@ -3,24 +3,18 @@ package sim
 import "repro/internal/mlg/world"
 
 // Position-keyed random streams — the terrain half of the determinism
-// contract, extended from worker-count independence (PR 6) to shard-layout
-// independence.
+// contract: output is independent of worker count and of shard layout.
 //
-// The engine's shared RNG made every draw's value depend on the global draw
-// order: which chunks were loaded, which explosion detonated first, how many
-// random-tick samples preceded this one. That order is identical across
-// worker counts (the parallel drains replay it), but it is NOT identical
-// across shard layouts — a shard simulating half the chunks consumes half
-// the draws. Every draw the simulation still needs is therefore keyed by the
+// A shared engine RNG would make every draw's value depend on the global
+// draw order: which chunks were loaded, which explosion detonated first, how
+// many random-tick samples preceded this one. That order is NOT identical
+// across shard layouts — a shard simulating half the chunks would consume
+// half the draws. Every draw the simulation needs is therefore keyed by the
 // simulation state that caused it (chunk or block position ⊕ tick ⊕ world
 // seed) and advanced by draw index within that event, making each value a
 // pure function of simulation state: a shard that owns a chunk draws exactly
 // the values the single-shard run draws for it, no matter what the rest of
-// the cluster is doing.
-//
-// The serializable engine RNG still exists and its state still round-trips
-// through snapshots (persist.go), so the save format is unchanged; no drain
-// rule consumes it anymore.
+// the cluster is doing. The engine keeps no stateful RNG at all.
 
 // posStream is a stateless counter-based splitmix64 stream.
 type posStream struct{ state uint64 }

@@ -33,12 +33,11 @@ func (cp ChunkPos) Origin() Pos {
 	return Pos{X: int(cp.X) * ChunkSize, Y: 0, Z: int(cp.Z) * ChunkSize}
 }
 
-// RegionSeed derives a deterministic RNG seed for a simulation region from
-// the world seed and the region's key chunk (its minimal core chunk). Region
-// drains that ever need randomness must draw from a stream derived here —
-// never from the engine's shared RNG, whose consumption order would depend
-// on worker scheduling. FNV-1a over the three values keeps nearby regions'
-// streams uncorrelated.
+// RegionSeed derives a deterministic RNG seed from the world seed and a
+// chunk column: the terrain engine's per-chunk random-tick streams and the
+// entity store's mob decision streams key on it, so no draw depends on
+// worker scheduling or on a shared stream's consumption order. FNV-1a over
+// the three values keeps nearby chunks' streams uncorrelated.
 func RegionSeed(worldSeed int64, key ChunkPos) int64 {
 	const (
 		offset64 = 14695981039346656037

@@ -6,12 +6,10 @@ package world
 // its component id, visit (optional) has been called once per key in
 // discovery order, and the component count is returned.
 //
-// This is the one flood fill behind the region-parallel schedulers: the
-// terrain engine's dirty-chunk partition, the entity store's occupied-chunk
-// partition, and the blast-impulse grouping all label their sets here, with
-// their own per-component bookkeeping in visit. Component ids depend on map
-// iteration order and are not canonical — callers needing a deterministic
-// order sort by a canonical key (e.g. the minimal member) afterwards.
+// The terrain engine's dirty-chunk partition labels its set here, with its
+// per-component bookkeeping in visit. Component ids depend on map iteration
+// order and are not canonical — callers needing a deterministic order sort
+// by a canonical key (e.g. the minimal member) afterwards.
 func LabelComponents(set map[ChunkPos]int32, link int32, visit func(comp int32, cp ChunkPos)) int32 {
 	const unassigned = -1
 	var stack []ChunkPos

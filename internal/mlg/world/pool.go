@@ -6,11 +6,10 @@ import (
 )
 
 // Parallel runs fn(i) for every i in [0, n) across at most workers
-// goroutines, returning when all calls complete. It is the shared drain pool
-// of the region-parallel schedulers: the terrain engine and the entity store
-// both hand their per-tick region sets to it, so the two phases share one
-// worker discipline (atomic work-stealing over a fixed index range) and one
-// configuration knob (SimWorkers).
+// goroutines, returning when all calls complete. It is the drain pool of
+// the terrain engine's region-parallel scheduler: the engine hands its
+// per-tick region set to it (atomic work-stealing over a fixed index range,
+// sized by the SimWorkers knob).
 //
 // workers <= 1 or n <= 1 degrades to a plain serial loop on the calling
 // goroutine — no goroutines, no synchronization — which keeps the legacy

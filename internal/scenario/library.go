@@ -38,9 +38,9 @@ func ByName(name string) *Scenario {
 }
 
 // GenerationHorizonChase walks players off the generated map with mobs in
-// tow: mob pathfinding near the generation frontier is the classic escape
-// path (a parallel region whose AI touches an ungenerated chunk must re-tick
-// serially, and that fallback must be output-invisible).
+// tow: mob pathfinding near the generation frontier generates terrain in
+// the middle of the entity phase, and the chunks it creates must read
+// identically at every terrain-drain worker count.
 func GenerationHorizonChase() *Scenario {
 	return &Scenario{
 		Name:     "generation-horizon-chase",
@@ -164,11 +164,11 @@ func TeleportStormScenario() *Scenario {
 }
 
 // ChurnDuringParallelDrain connects and disconnects players on the very
-// ticks the TNT workload's explosion cascade is draining entities in
-// parallel: the join/leave mutates the player set the exclusive phase
-// consumes (item pickup, interest sets), and the churned set must read
-// identically under every schedule. The expectation pins the scenario to
-// its purpose: the churn steps must overlap region-parallel entity ticks.
+// ticks the TNT workload's explosion cascade is draining terrain in
+// parallel: the join/leave mutates the player set the tick consumes (item
+// pickup, interest sets), and the churned set must read identically under
+// every schedule. The expectation pins the scenario to its purpose: the
+// churn steps must overlap region-parallel terrain drains.
 func ChurnDuringParallelDrain() *Scenario {
 	return &Scenario{
 		Name:             "churn-during-parallel-drain",
@@ -193,12 +193,12 @@ func ChurnDuringParallelDrain() *Scenario {
 				}
 				overlap := 0
 				for i, r := range tw.Records {
-					if st := tw.StepOfTick[i]; st >= 0 && st <= 2 && r.EntParallel {
+					if st := tw.StepOfTick[i]; st >= 0 && st <= 2 && r.SimParallel {
 						overlap++
 					}
 				}
 				if overlap == 0 {
-					return fmt.Sprintf("workers=%d twin: no churn-step tick took the parallel entity path", tw.Workers)
+					return fmt.Sprintf("workers=%d twin: no churn-step tick took the parallel terrain drain", tw.Workers)
 				}
 			}
 			return ""
